@@ -126,14 +126,15 @@ Vec3 EfsiSimulation::ctc_position() const {
 }
 
 void EfsiSimulation::step() {
-  auto pools = active_pools();
-  if (!pools.empty()) {
-    compute_cell_forces(pools, domain_.get(), params_.fsi);
+  fsi_.set_cells(active_pools());
+  const bool has_cells = !fsi_.cells.empty();
+  if (has_cells) {
+    compute_cell_forces(fsi_, domain_.get(), params_.fsi);
     lat_->clear_forces();
-    spread_cell_forces(*lat_, units_, pools, params_.fsi.kernel);
+    spread_cell_forces(*lat_, units_, fsi_, params_.fsi.kernel);
   }
   lat_->step();
-  if (!pools.empty()) advect_cells(*lat_, pools, params_.fsi.kernel);
+  if (has_cells) advect_cells(*lat_, fsi_);
   ++steps_;
   if (ctcs_->size() > 0) trajectory_.push_back(ctc_position());
 }

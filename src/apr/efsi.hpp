@@ -72,6 +72,7 @@ class EfsiSimulation {
   std::uint64_t next_cell_id_ = 1;
   int steps_ = 0;
   std::vector<Vec3> trajectory_;
+  FsiWorkspace fsi_;
 
   std::vector<cells::CellPool*> active_pools();
 };

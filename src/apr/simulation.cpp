@@ -5,8 +5,6 @@
 #include <stdexcept>
 
 #include "src/cells/cell.hpp"
-#include "src/cells/overlap.hpp"
-#include "src/cells/subgrid.hpp"
 #include "src/common/log.hpp"
 #include "src/exec/exec.hpp"
 #include "src/geometry/voxelizer.hpp"
@@ -26,22 +24,6 @@ double max_cell_radius(const fem::MembraneModel& model) {
   return r;
 }
 
-/// One live cell across the active pools; the FSI helpers parallelize
-/// over this flattened list so RBCs and the CTC share one work queue.
-struct CellRef {
-  cells::CellPool* pool;
-  std::size_t slot;
-};
-
-std::vector<CellRef> flatten_cells(
-    const std::vector<cells::CellPool*>& pools) {
-  std::vector<CellRef> refs;
-  for (cells::CellPool* pool : pools) {
-    for (std::size_t s = 0; s < pool->size(); ++s) refs.push_back({pool, s});
-  }
-  return refs;
-}
-
 /// Per-worker scratch for the membrane force assembly.
 struct FemScratch {
   std::vector<Vec3> x;
@@ -50,60 +32,90 @@ struct FemScratch {
 
 }  // namespace
 
-void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
-                         const geometry::Domain* domain,
+void FsiWorkspace::set_cells(const std::vector<cells::CellPool*>& pools) {
+  cells.clear();
+  first_vertex.assign(1, 0);
+  for (cells::CellPool* pool : pools) {
+    for (std::size_t s = 0; s < pool->size(); ++s) {
+      cells.push_back({pool, s});
+      first_vertex.push_back(first_vertex.back() +
+                             pool->positions(s).size());
+    }
+  }
+}
+
+void FsiWorkspace::build_stencils(const lbm::Lattice& lat,
+                                  ibm::DeltaKernel kernel) {
+  OBS_SPAN("ibm", "build_stencils");
+  stencils.resize(num_vertices());
+  exec::parallel_for(cells.size(), [&](std::size_t k) {
+    const auto x = cells[k].pool->positions(cells[k].slot);
+    ibm::Stencil* const out = stencils.data() + first_vertex[k];
+    for (std::size_t v = 0; v < x.size(); ++v) {
+      out[v] = ibm::make_stencil(lat, x[v], kernel);
+    }
+  });
+}
+
+void compute_cell_forces(FsiWorkspace& ws, const geometry::Domain* domain,
                          const FsiParams& params) {
-  for (cells::CellPool* pool : pools) pool->clear_forces();
-  const std::vector<CellRef> refs = flatten_cells(pools);
+  const std::vector<cells::CellRef>& refs = ws.cells;
 
   // Membrane FEM forces: cells are independent (each writes only its own
   // force block), so assembly parallelizes per cell across the pools.
   // Workers reach the calling thread's scratch pool through the captured
   // pointer -- naming the thread_local inside the lambda would resolve to
   // each worker's own instance instead.
-  static thread_local exec::WorkerLocal<FemScratch> scratch_tls;
-  scratch_tls.prepare();
-  exec::WorkerLocal<FemScratch>* const pool = &scratch_tls;
-  exec::parallel_for_chunks(
-      refs.size(), [&, pool](std::size_t b, std::size_t e, int w) {
-        FemScratch& sc = (*pool)[static_cast<std::size_t>(w)];
-        for (std::size_t k = b; k < e; ++k) {
-          const auto x = refs[k].pool->positions(refs[k].slot);
-          const auto f = refs[k].pool->forces(refs[k].slot);
-          sc.x.assign(x.begin(), x.end());
-          sc.f.assign(x.size(), Vec3{});
-          refs[k].pool->model().add_forces(sc.x, sc.f);
-          for (std::size_t v = 0; v < x.size(); ++v) f[v] += sc.f[v];
-        }
-      });
+  {
+    OBS_SPAN("fem", "membrane");
+    static thread_local exec::WorkerLocal<FemScratch> scratch_tls;
+    scratch_tls.prepare();
+    exec::WorkerLocal<FemScratch>* const pool = &scratch_tls;
+    exec::parallel_for_chunks(
+        refs.size(), [&, pool](std::size_t b, std::size_t e, int w) {
+          FemScratch& sc = (*pool)[static_cast<std::size_t>(w)];
+          for (std::size_t k = b; k < e; ++k) {
+            const auto x = refs[k].pool->positions(refs[k].slot);
+            const auto f = refs[k].pool->forces(refs[k].slot);
+            sc.x.assign(x.begin(), x.end());
+            sc.f.assign(x.size(), Vec3{});
+            refs[k].pool->model().add_forces(sc.x, sc.f);
+            std::fill(f.begin(), f.end(), Vec3{});
+            for (std::size_t v = 0; v < x.size(); ++v) f[v] += sc.f[v];
+          }
+        });
+  }
 
-  // Cell-cell contact (the subgrid build stays serial -- hash inserts --
-  // but the pair search parallelizes per cell inside add_contact_forces).
+  // Cell-cell contact: the CSR grid build is one serial counting sort; the
+  // pair search parallelizes per cell inside add_contact_forces.
   if (params.contact_cutoff > 0.0 && params.contact_strength > 0.0 &&
       !refs.empty()) {
     // A centroid poisoned by an upstream numerical fault would make the
-    // grid bounds invalid (SubGrid throws); leave such cells out so the
+    // grid bounds invalid (the grid throws); leave such cells out so the
     // step completes and the health watchdog can localize the fault.
     Aabb all;
-    for (const CellRef& r : refs) {
+    for (const cells::CellRef& r : refs) {
       const Vec3 c = r.pool->cell_centroid(r.slot);
       if (std::isfinite(c.x) && std::isfinite(c.y) && std::isfinite(c.z)) {
         all.include(c);
       }
     }
     if (all.valid()) {
-      const double rmax = max_cell_radius(pools.front()->model());
-      cells::SubGrid grid(all.inflated(2.0 * rmax + params.contact_cutoff),
-                          std::max(params.contact_cutoff, rmax / 2.0));
-      std::vector<const cells::CellPool*> cpools(pools.begin(), pools.end());
-      cells::fill_subgrid(grid, cpools);
-      cells::add_contact_forces(pools, params.contact_cutoff,
-                                params.contact_strength, grid);
+      const double rmax = max_cell_radius(refs.front().pool->model());
+      {
+        OBS_SPAN("cells", "contact_grid");
+        ws.contact.build(all.inflated(2.0 * rmax + params.contact_cutoff),
+                         std::max(params.contact_cutoff, rmax / 2.0), refs);
+      }
+      OBS_SPAN("cells", "contact");
+      cells::add_contact_forces(refs, params.contact_cutoff,
+                                params.contact_strength, ws.contact);
     }
   }
 
   // Wall repulsion: per-cell independent, same decomposition.
   if (domain && params.wall_cutoff > 0.0 && params.wall_strength > 0.0) {
+    OBS_SPAN("cells", "wall_repulsion");
     const double eps = params.wall_cutoff / 4.0;
     exec::parallel_for(refs.size(), [&](std::size_t k) {
       const auto x = refs[k].pool->positions(refs[k].slot);
@@ -120,54 +132,37 @@ void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
 }
 
 void spread_cell_forces(lbm::Lattice& lat, const UnitConverter& conv,
-                        const std::vector<cells::CellPool*>& pools,
-                        ibm::DeltaKernel kernel) {
-  // Batch every vertex of every cell into one scatter so the parallel
+                        FsiWorkspace& ws, ibm::DeltaKernel kernel) {
+  // Every vertex of every cell goes into one scatter so the parallel
   // spreading kernel sees the whole workload at once instead of one
   // small call per cell.
-  static thread_local std::vector<Vec3> xs;
-  static thread_local std::vector<Vec3> fs;
+  ws.build_stencils(lat, kernel);
   const double scale = conv.force_to_lattice(1.0);
-  xs.clear();
-  fs.clear();
-  for (cells::CellPool* pool : pools) {
-    for (std::size_t s = 0; s < pool->size(); ++s) {
-      const auto x = pool->positions(s);
-      const auto f = pool->forces(s);
-      xs.insert(xs.end(), x.begin(), x.end());
-      for (std::size_t v = 0; v < f.size(); ++v) fs.push_back(f[v] * scale);
-    }
-  }
-  ibm::spread_forces(lat, xs, fs, kernel);
+  ws.forces.resize(ws.num_vertices());
+  exec::parallel_for(ws.cells.size(), [&](std::size_t k) {
+    const auto f = ws.cells[k].pool->forces(ws.cells[k].slot);
+    Vec3* const out = ws.forces.data() + ws.first_vertex[k];
+    for (std::size_t v = 0; v < f.size(); ++v) out[v] = f[v] * scale;
+  });
+  ibm::spread_forces(lat, ws.stencils, ws.forces);
 }
 
-void advect_cells(const lbm::Lattice& lat,
-                  const std::vector<cells::CellPool*>& pools,
-                  ibm::DeltaKernel kernel) {
-  // Batch all vertices for one parallel interpolation sweep, then write
-  // velocities/positions back per cell in parallel.
-  static thread_local std::vector<Vec3> xs;
-  static thread_local std::vector<Vec3> us;
-  const std::vector<CellRef> refs = flatten_cells(pools);
-  std::vector<std::size_t> offset(refs.size() + 1, 0);
-  xs.clear();
-  for (std::size_t k = 0; k < refs.size(); ++k) {
-    const auto x = refs[k].pool->positions(refs[k].slot);
-    xs.insert(xs.end(), x.begin(), x.end());
-    offset[k + 1] = xs.size();
+void advect_cells(const lbm::Lattice& lat, FsiWorkspace& ws) {
+  if (ws.stencils.size() != ws.num_vertices()) {
+    throw std::logic_error(
+        "advect_cells: stencils were not built for the current cells");
   }
-  ibm::interpolate_velocities(lat, xs, us, kernel);
+  // One parallel interpolation sweep over all vertices, then velocities
+  // and positions are written back per cell in parallel.
+  ibm::interpolate_velocities(lat, ws.stencils, ws.velocities);
   const double dx = lat.dx();
-  // Plain pointer so workers read this thread's buffer, not their own
-  // thread_local instance.
-  const Vec3* const u = us.data();
-  exec::parallel_for(refs.size(), [&, u](std::size_t k) {
-    const auto x = refs[k].pool->positions(refs[k].slot);
-    const auto vel = refs[k].pool->velocities(refs[k].slot);
-    const std::size_t base = offset[k];
+  exec::parallel_for(ws.cells.size(), [&](std::size_t k) {
+    const auto x = ws.cells[k].pool->positions(ws.cells[k].slot);
+    const auto vel = ws.cells[k].pool->velocities(ws.cells[k].slot);
+    const Vec3* const u = ws.velocities.data() + ws.first_vertex[k];
     for (std::size_t v = 0; v < x.size(); ++v) {
-      vel[v] = u[base + v];
-      x[v] += u[base + v] * dx;
+      vel[v] = u[v];
+      x[v] += u[v] * dx;
     }
   });
 }
@@ -607,7 +602,10 @@ void AprSimulation::step() {
   if (!window_ || !coupler_) {
     throw std::logic_error("AprSimulation::step: window not placed");
   }
-  auto pools = active_pools();
+  // Cells are added and removed only after the sub-steps (maintenance,
+  // window moves), so one flattened list serves the whole coarse step.
+  fsi_.set_cells(active_pools());
+  const bool has_cells = !fsi_.cells.empty();
   using perf::StepPhase;
   const bool sampling = metrics_sink_ != nullptr;
   const std::int64_t step_t0 = sampling ? obs::trace_now_ns() : 0;
@@ -628,14 +626,14 @@ void AprSimulation::step() {
     coupler_->take_post_snapshot();
   }
   for (int s = 0; s < params_.n; ++s) {
-    if (!pools.empty()) {
+    if (has_cells) {
       {
         auto scope = profiler_.scope(StepPhase::Forces);
-        compute_cell_forces(pools, domain_.get(), params_.fsi);
+        compute_cell_forces(fsi_, domain_.get(), params_.fsi);
       }
       auto scope = profiler_.scope(StepPhase::Spread);
       fine_->clear_forces();
-      spread_cell_forces(*fine_, fine_units_, pools, params_.fsi.kernel);
+      spread_cell_forces(*fine_, fine_units_, fsi_, params_.fsi.kernel);
     }
     {
       auto scope = profiler_.scope(StepPhase::Coupling);
@@ -648,9 +646,9 @@ void AprSimulation::step() {
       profiler_.add_site_updates(StepPhase::FineCollideStream,
                                  fine_->site_updates() - before);
     }
-    if (!pools.empty()) {
+    if (has_cells) {
       auto scope = profiler_.scope(StepPhase::Advect);
-      advect_cells(*fine_, pools, params_.fsi.kernel);
+      advect_cells(*fine_, fsi_);
     }
   }
   {

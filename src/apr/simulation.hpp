@@ -23,6 +23,7 @@
 #include "src/apr/window.hpp"
 #include "src/apr/window_mover.hpp"
 #include "src/cells/cell_pool.hpp"
+#include "src/cells/contact_grid.hpp"
 #include "src/cells/tile.hpp"
 #include "src/common/units.hpp"
 #include "src/geometry/domain.hpp"
@@ -43,23 +44,47 @@ struct FsiParams {
   double wall_strength = 0.0;     ///< [N] peak wall repulsion per vertex
 };
 
-/// Accumulate membrane (FEM), cell-cell contact and wall repulsion forces
-/// in SI units into the pools' force buffers (which are cleared first).
-void compute_cell_forces(const std::vector<cells::CellPool*>& pools,
-                         const geometry::Domain* domain,
+/// Derived state the FSI helpers below share, owned by the simulation
+/// and never serialized (nothing in it outlives a coarse step):
+///  - `cells`, the live cells flattened once per coarse step by
+///    set_cells() (cells are added and removed only between steps), and
+///    `first_vertex`, each cell's offset into the per-vertex buffers;
+///  - `stencils`, built from the current positions by spread_cell_forces
+///    and consumed by advect_cells in the same sub-step (positions do not
+///    move in between);
+///  - per-vertex and contact-grid buffers, reused across sub-steps.
+/// See DESIGN.md §16.
+struct FsiWorkspace {
+  std::vector<cells::CellRef> cells;
+  std::vector<std::size_t> first_vertex = {0};  ///< cells.size() + 1
+  std::vector<ibm::Stencil> stencils;
+  std::vector<Vec3> forces;      ///< lattice-unit forces being spread
+  std::vector<Vec3> velocities;  ///< interpolated lattice velocities
+  cells::ContactGrid contact;
+
+  /// Flatten the live cells of `pools`, in pool then slot order.
+  void set_cells(const std::vector<cells::CellPool*>& pools);
+  std::size_t num_vertices() const { return first_vertex.back(); }
+  /// Build `stencils` at the cells' current positions on `lat`.
+  void build_stencils(const lbm::Lattice& lat, ibm::DeltaKernel kernel);
+};
+
+/// Overwrite the force buffers of `ws.cells` with their membrane (FEM),
+/// cell-cell contact and wall repulsion forces, in SI units.
+void compute_cell_forces(FsiWorkspace& ws, const geometry::Domain* domain,
                          const FsiParams& params);
 
-/// Spread the pools' SI force buffers onto the lattice force field,
-/// converting with `conv` (must match the lattice spacing).
+/// Build the stencils of `ws.cells` and spread their SI force buffers
+/// onto the lattice force field, converting with `conv` (must match the
+/// lattice spacing).
 void spread_cell_forces(lbm::Lattice& lat, const UnitConverter& conv,
-                        const std::vector<cells::CellPool*>& pools,
-                        ibm::DeltaKernel kernel);
+                        FsiWorkspace& ws, ibm::DeltaKernel kernel);
 
-/// Interpolate lattice velocities at all vertices and advance positions
-/// one lattice time step (paper Eqs. 4-5).
-void advect_cells(const lbm::Lattice& lat,
-                  const std::vector<cells::CellPool*>& pools,
-                  ibm::DeltaKernel kernel);
+/// Interpolate lattice velocities at all vertices of `ws.cells` over the
+/// stencils built this sub-step and advance positions one lattice time
+/// step (paper Eqs. 4-5). Throws std::logic_error when no stencils match
+/// the current cells.
+void advect_cells(const lbm::Lattice& lat, FsiWorkspace& ws);
 
 /// Observability configuration (see src/obs and DESIGN.md §11). All
 /// fields are observability-only and excluded from the checkpoint params
@@ -348,6 +373,9 @@ class AprSimulation {
   int move_count_ = 0;
   std::uint64_t fine_updates_retired_ = 0;  // from discarded fine lattices
   std::vector<Vec3> trajectory_;
+  /// Per-step cell list, sub-step IBM stencils and FSI buffers (derived
+  /// state, never checkpointed).
+  FsiWorkspace fsi_;
   perf::StepProfiler profiler_;
   WindowRelocationStats last_relocation_;
 

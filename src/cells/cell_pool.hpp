@@ -80,4 +80,12 @@ class CellPool {
   std::uint64_t shifts_ = 0;
 };
 
+/// One live cell: a pool and a slot in it. The FSI helpers and the
+/// contact grid work over a flattened list of these, so RBCs and the CTC
+/// share one work queue.
+struct CellRef {
+  CellPool* pool;
+  std::size_t slot;
+};
+
 }  // namespace apr::cells

@@ -1,9 +1,6 @@
 #include "src/cells/overlap.hpp"
 
 #include <algorithm>
-#include <utility>
-
-#include "src/exec/exec.hpp"
 
 namespace apr::cells {
 
@@ -63,45 +60,6 @@ void fill_subgrid(SubGrid& grid,
       }
     }
   }
-}
-
-std::size_t add_contact_forces(std::vector<CellPool*> pools, double cutoff,
-                               double strength, const SubGrid& grid) {
-  const double c2 = cutoff * cutoff;
-  // Each cell writes only its own force block and reads the shared grid,
-  // so cells parallelize independently across the pools.
-  std::vector<std::pair<CellPool*, std::size_t>> refs;
-  for (CellPool* pool : pools) {
-    for (std::size_t s = 0; s < pool->size(); ++s) refs.emplace_back(pool, s);
-  }
-  return exec::parallel_reduce<std::size_t>(
-      refs.size(), 0,
-      [&](std::size_t b, std::size_t e) {
-        std::size_t pairs = 0;
-        for (std::size_t k = b; k < e; ++k) {
-          CellPool* pool = refs[k].first;
-          const std::size_t s = refs[k].second;
-          const auto x = pool->positions(s);
-          const auto f = pool->forces(s);
-          const std::uint64_t id = pool->id(s);
-          for (std::size_t v = 0; v < x.size(); ++v) {
-            Vec3 acc{};
-            grid.for_neighbors(x[v], cutoff, [&](const SubGrid::Entry& e2) {
-              if (e2.cell_id == id) return;
-              const Vec3 d = x[v] - e2.p;
-              const double d2 = norm2(d);
-              if (d2 >= c2 || d2 <= 0.0) return;
-              const double dist = std::sqrt(d2);
-              const double overlap = 1.0 - dist / cutoff;
-              acc += d * (strength * overlap * overlap / dist);
-              ++pairs;
-            });
-            f[v] += acc;
-          }
-        }
-        return pairs;
-      },
-      [](std::size_t a, std::size_t b) { return a + b; });
 }
 
 }  // namespace apr::cells

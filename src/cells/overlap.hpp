@@ -7,8 +7,8 @@
 /// SubGrid. When a freshly placed tile produces mutually overlapping
 /// cells, removal preferentially drops the cell with the *larger* global
 /// ID, which makes the outcome identical for any task count or iteration
-/// order. Also provides the short-range vertex-vertex contact force used
-/// during the simulation.
+/// order. The short-range contact force used during the simulation lives
+/// in contact_grid.hpp.
 
 #include <cstdint>
 #include <span>
@@ -42,12 +42,5 @@ std::vector<std::uint64_t> resolve_overlaps(
 /// Rebuild `grid` with every vertex of every cell in `pools`.
 void fill_subgrid(SubGrid& grid,
                   const std::vector<const CellPool*>& pools);
-
-/// Short-range soft-sphere repulsion between vertices of *different* cells:
-///   F = k (1 - d/cutoff)^2 * d_hat   for d < cutoff.
-/// Accumulated into each pool's force buffers. Returns the number of
-/// interacting pairs (diagnostics).
-std::size_t add_contact_forces(std::vector<CellPool*> pools, double cutoff,
-                               double strength, const SubGrid& grid);
 
 }  // namespace apr::cells

@@ -5,23 +5,19 @@
 
 namespace apr::cells {
 
-SubGrid::SubGrid(const Aabb& bounds, double spacing)
+BucketGeometry::BucketGeometry(const Aabb& bounds, double spacing)
     : bounds_(bounds), spacing_(spacing) {
-  if (!bounds.valid()) throw std::invalid_argument("SubGrid: invalid bounds");
-  if (spacing <= 0.0) throw std::invalid_argument("SubGrid: spacing <= 0");
+  if (!bounds.valid()) {
+    throw std::invalid_argument("bucket grid: invalid bounds");
+  }
+  if (spacing <= 0.0) throw std::invalid_argument("bucket grid: spacing <= 0");
   const Vec3 e = bounds.extent();
   nx_ = std::max(1, static_cast<int>(std::ceil(e.x / spacing)));
   ny_ = std::max(1, static_cast<int>(std::ceil(e.y / spacing)));
   nz_ = std::max(1, static_cast<int>(std::ceil(e.z / spacing)));
-  buckets_.resize(static_cast<std::size_t>(nx_) * ny_ * nz_);
 }
 
-void SubGrid::clear() {
-  for (auto& b : buckets_) b.clear();
-  count_ = 0;
-}
-
-void SubGrid::bucket_coords(const Vec3& p, int* out) const {
+void BucketGeometry::coords(const Vec3& p, int* out) const {
   const Vec3 r = (p - bounds_.lo) / spacing_;
   // Casting a non-finite coordinate to int is UB; a vertex poisoned by an
   // upstream numerical fault parks in the first bucket instead, where the
@@ -34,18 +30,26 @@ void SubGrid::bucket_coords(const Vec3& p, int* out) const {
                   nz_);
 }
 
-void SubGrid::bucket_range(const Vec3& p, double radius, int* lo,
+void BucketGeometry::range(const Vec3& p, double radius, int* lo,
                            int* hi) const {
   const Vec3 pl = p - Vec3{radius, radius, radius};
   const Vec3 ph = p + Vec3{radius, radius, radius};
-  bucket_coords(pl, lo);
-  bucket_coords(ph, hi);
+  coords(pl, lo);
+  coords(ph, hi);
+}
+
+SubGrid::SubGrid(const Aabb& bounds, double spacing)
+    : geom_(bounds, spacing), buckets_(geom_.count()) {}
+
+void SubGrid::clear() {
+  for (auto& b : buckets_) b.clear();
+  count_ = 0;
 }
 
 void SubGrid::insert(const Vec3& p, std::uint64_t cell_id, int vertex) {
   int c[3];
-  bucket_coords(p, c);
-  buckets_[bucket_index(c[0], c[1], c[2])].push_back({p, cell_id, vertex});
+  geom_.coords(p, c);
+  buckets_[geom_.index(c[0], c[1], c[2])].push_back({p, cell_id, vertex});
   ++count_;
 }
 

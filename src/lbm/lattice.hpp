@@ -218,6 +218,10 @@ class Lattice {
     const std::size_t a = addr(i);
     if (a >= kTileNodes) force_[a] += f;
   }
+  void add_force(int x, int y, int z, const Vec3& f) {
+    const std::size_t a = addr(x, y, z);
+    if (a >= kTileNodes) force_[a] += f;
+  }
   const Vec3& body_force() const { return body_force_; }
   void set_body_force(const Vec3& f);
   /// Reset per-node forces to the constant body force (called by the FSI

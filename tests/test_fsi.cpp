@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "src/apr/simulation.hpp"
 #include "src/mesh/icosphere.hpp"
@@ -12,6 +13,13 @@
 
 namespace apr::core {
 namespace {
+
+/// Workspace over the live cells of one pool.
+FsiWorkspace workspace(cells::CellPool& pool) {
+  FsiWorkspace ws;
+  ws.set_cells({&pool});
+  return ws;
+}
 
 std::unique_ptr<fem::MembraneModel> si_rbc() {
   fem::MembraneParams p;
@@ -28,7 +36,8 @@ TEST(ComputeCellForces, RestingCellHasNoNetForce) {
   cells::CellPool pool(model.get(), cells::CellKind::Rbc, 4);
   pool.add(1, cells::instantiate(*model, Vec3{0, 0, 0}));
   FsiParams fsi;  // no contact, no wall
-  compute_cell_forces({&pool}, nullptr, fsi);
+  FsiWorkspace ws = workspace(pool);
+  compute_cell_forces(ws, nullptr, fsi);
   for (const Vec3& f : pool.forces(0)) {
     EXPECT_NEAR(norm(f), 0.0, 1e-18);
   }
@@ -42,7 +51,8 @@ TEST(ComputeCellForces, DeformedCellForcesAreRestoring) {
   for (auto& v : verts) v *= 1.1;
   pool.add(1, verts);
   FsiParams fsi;
-  compute_cell_forces({&pool}, nullptr, fsi);
+  FsiWorkspace ws = workspace(pool);
+  compute_cell_forces(ws, nullptr, fsi);
   double inward = 0.0;
   const auto x = pool.positions(0);
   const auto f = pool.forces(0);
@@ -64,7 +74,8 @@ TEST(ComputeCellForces, WallRepulsionPointsInward) {
   FsiParams fsi;
   fsi.wall_cutoff = 0.5e-6;
   fsi.wall_strength = 1e-12;
-  compute_cell_forces({&pool}, tube.get(), fsi);
+  FsiWorkspace ws = workspace(pool);
+  compute_cell_forces(ws, tube.get(), fsi);
   Vec3 net{};
   for (const Vec3& f : pool.forces(0)) net += f;
   EXPECT_LT(net.x, 0.0);  // pushed toward the axis
@@ -78,7 +89,8 @@ TEST(ComputeCellForces, ContactPushesNeighborsApart) {
   FsiParams fsi;
   fsi.contact_cutoff = 0.5e-6;
   fsi.contact_strength = 1e-12;
-  compute_cell_forces({&pool}, nullptr, fsi);
+  FsiWorkspace ws = workspace(pool);
+  compute_cell_forces(ws, nullptr, fsi);
   Vec3 f1{}, f2{};
   for (const Vec3& f : pool.forces(0)) f1 += f;
   for (const Vec3& f : pool.forces(1)) f2 += f;
@@ -101,7 +113,8 @@ TEST(SpreadCellForces, ConvertsAndConservesTotalForce) {
     total_si += f;
   }
   lat.clear_forces();
-  spread_cell_forces(lat, conv, {&pool}, ibm::DeltaKernel::Cosine4);
+  FsiWorkspace ws = workspace(pool);
+  spread_cell_forces(lat, conv, ws, ibm::DeltaKernel::Cosine4);
   Vec3 total_lat{};
   for (std::size_t i = 0; i < lat.num_nodes(); ++i) {
     total_lat += lat.force(i);
@@ -119,7 +132,9 @@ TEST(AdvectCells, VerticesFollowUniformFlow) {
   cells::CellPool pool(model.get(), cells::CellKind::Rbc, 4);
   pool.add(1, cells::instantiate(*model, Vec3{0, 0, 0}));
   const Vec3 before = pool.cell_centroid(0);
-  advect_cells(lat, {&pool}, ibm::DeltaKernel::Cosine4);
+  FsiWorkspace ws = workspace(pool);
+  ws.build_stencils(lat, ibm::DeltaKernel::Cosine4);
+  advect_cells(lat, ws);
   const Vec3 after = pool.cell_centroid(0);
   // One step at u = 0.02 lattice units moves everything 0.02 * dx.
   EXPECT_NEAR(after.x - before.x, 0.02 * 1e-6, 1e-12);
@@ -128,6 +143,19 @@ TEST(AdvectCells, VerticesFollowUniformFlow) {
   for (const Vec3& v : pool.velocities(0)) {
     EXPECT_NEAR(v.x, 0.02, 1e-9);
   }
+}
+
+TEST(AdvectCells, RequiresStencilsOfTheCurrentCells) {
+  auto model = si_rbc();
+  lbm::Lattice lat(16, 16, 16, Vec3{-8e-6, -8e-6, -8e-6}, 1e-6, 1.0);
+  cells::CellPool pool(model.get(), cells::CellKind::Rbc, 4);
+  pool.add(1, cells::instantiate(*model, Vec3{0, 0, 0}));
+  FsiWorkspace ws = workspace(pool);
+  EXPECT_THROW(advect_cells(lat, ws), std::logic_error);
+  ws.build_stencils(lat, ibm::DeltaKernel::Cosine4);
+  pool.add(2, cells::instantiate(*model, Vec3{3e-6, 0, 0}));
+  ws.set_cells({&pool});
+  EXPECT_THROW(advect_cells(lat, ws), std::logic_error);
 }
 
 TEST(AdvectCells, RigidBodyInLinearShearRotatesNotTranslates) {
@@ -146,7 +174,9 @@ TEST(AdvectCells, RigidBodyInLinearShearRotatesNotTranslates) {
   }
   cells::CellPool pool(model.get(), cells::CellKind::Rbc, 4);
   pool.add(1, cells::instantiate(*model, Vec3{0, 0, 0}));
-  advect_cells(lat, {&pool}, ibm::DeltaKernel::Peskin3);
+  FsiWorkspace ws = workspace(pool);
+  ws.build_stencils(lat, ibm::DeltaKernel::Peskin3);
+  advect_cells(lat, ws);
   EXPECT_NEAR(pool.cell_centroid(0).x, 0.0, 2e-10);
   // Top vertices moved +x, bottom vertices -x.
   const auto x = pool.positions(0);

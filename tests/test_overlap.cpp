@@ -1,4 +1,5 @@
 #include "src/cells/overlap.hpp"
+#include "src/cells/contact_grid.hpp"
 
 #include <gtest/gtest.h>
 
@@ -116,9 +117,10 @@ TEST_F(OverlapTest, ContactForcesPushApartAndConserveMomentum) {
   CellPool pool(model_.get(), CellKind::Rbc, 4);
   pool.add(1, instantiate(*model_, Vec3{0, 0, 0}));
   pool.add(2, instantiate(*model_, Vec3{2.2, 0, 0}));  // slightly separated
-  SubGrid grid(region_, 1.0);
-  fill_subgrid(grid, {&pool});
-  const std::size_t pairs = add_contact_forces({&pool}, 0.5, 1.0, grid);
+  const std::vector<CellRef> cells{{&pool, 0}, {&pool, 1}};
+  ContactGrid grid;
+  grid.build(region_, 1.0, cells);
+  const std::size_t pairs = add_contact_forces(cells, 0.5, 1.0, grid);
   EXPECT_GT(pairs, 0u);
   // Net force on cell 1 points -x, on cell 2 +x; totals cancel.
   Vec3 f1{}, f2{};
@@ -132,10 +134,11 @@ TEST_F(OverlapTest, ContactForcesPushApartAndConserveMomentum) {
 TEST_F(OverlapTest, ContactForcesIgnoreSameCell) {
   CellPool pool(model_.get(), CellKind::Rbc, 2);
   pool.add(1, instantiate(*model_, Vec3{0, 0, 0}));
-  SubGrid grid(region_, 1.0);
-  fill_subgrid(grid, {&pool});
+  const std::vector<CellRef> cells{{&pool, 0}};
+  ContactGrid grid;
+  grid.build(region_, 1.0, cells);
   // Cutoff large enough that a cell's own vertices are within range.
-  const std::size_t pairs = add_contact_forces({&pool}, 1.0, 1.0, grid);
+  const std::size_t pairs = add_contact_forces(cells, 1.0, 1.0, grid);
   EXPECT_EQ(pairs, 0u);
   for (const auto& f : pool.forces(0)) EXPECT_EQ(norm(f), 0.0);
 }
