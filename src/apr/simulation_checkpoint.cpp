@@ -24,6 +24,7 @@
 /// lattice, cell pools) off to the side, and a commit stage with no
 /// failure paths.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -161,20 +162,23 @@ io::Checkpoint AprSimulation::make_checkpoint() const {
   meta.trajectory = trajectory_;
   ckpt.add(kMetaTag, meta.serialize());
 
-  io::LatticeState cs = io::LatticeState::capture(*coarse_);
-  if (coupler_) {
-    for (const auto& [idx, tau] : coupler_->footprint_saved_tau()) {
-      cs.tau[idx] = tau;
+  {
+    // Scoped so each snapshot is freed once serialized.
+    io::LatticeState cs = io::LatticeState::capture(*coarse_);
+    // Footprint nodes are Fluid, so their blocks are always kept.
+    if (coupler_) {
+      for (const auto& [idx, tau] : coupler_->footprint_saved_tau()) {
+        cs.set_tau(idx, tau);
+      }
     }
+    ckpt.add(kCoarseTag, cs.serialize());
   }
-  ckpt.add(kCoarseTag, cs.serialize());
 
   if (meta.has_window) {
     io::LatticeState fs = io::LatticeState::capture(*fine_);
-    for (std::uint8_t& t : fs.type) {
-      if (t == static_cast<std::uint8_t>(lbm::NodeType::Coupling)) {
-        t = static_cast<std::uint8_t>(lbm::NodeType::Fluid);
-      }
+    for (lbm::BlockSnapshot& b : fs.blocks) {
+      std::replace(b.type.begin(), b.type.end(), lbm::NodeType::Coupling,
+                   lbm::NodeType::Fluid);
     }
     ckpt.add(kFineTag, fs.serialize());
   }

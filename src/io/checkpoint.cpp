@@ -5,7 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <limits>
+#include <stdexcept>
 #include <utility>
 
 #include "src/fem/membrane_model.hpp"
@@ -31,24 +31,49 @@ std::string tag_name(std::uint32_t tag) {
   return std::string(s);
 }
 
+/// Slice-by-8 tables: t[0] is the byte-at-a-time CRC table, t[k][i] the
+/// CRC of byte i followed by k zero bytes.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (int k = 1; k < 8; ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr auto kCrcTables = make_crc_tables();
+
+inline std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
+}
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t crc) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
 }
@@ -83,49 +108,81 @@ std::vector<std::uint32_t> Checkpoint::tags() const {
   return out;
 }
 
+template <typename Put>
+void Checkpoint::emit(Put&& put) const {
+  const auto pod = [&put](const auto& v) { put(&v, sizeof(v)); };
+  pod(kMagic);
+  pod(kFormatVersion);
+  pod(static_cast<std::uint32_t>(sections_.size()));
+  for (const auto& [tag, payload] : sections_) {
+    pod(tag);
+    pod(static_cast<std::uint64_t>(payload.size()));
+    put(payload.data(), payload.size());
+    pod(crc32(payload.data(), payload.size()));
+  }
+}
+
 std::vector<char> Checkpoint::to_bytes() const {
   BufWriter w;
-  w.pod(kMagic);
-  w.pod(kFormatVersion);
-  w.pod(static_cast<std::uint32_t>(sections_.size()));
-  for (const auto& [tag, payload] : sections_) {
-    w.pod(tag);
-    w.pod(static_cast<std::uint64_t>(payload.size()));
-    w.bytes(payload.data(), payload.size());
-    w.pod(crc32(payload.data(), payload.size()));
-  }
+  w.reserve_more(byte_size());
+  emit([&w](const void* p, std::size_t n) { w.bytes(p, n); });
   return w.take();
 }
 
-Checkpoint Checkpoint::from_bytes(const std::vector<char>& bytes,
-                                  const std::string& what) {
-  // A corrupt size field must not trigger a monster allocation, but a
-  // fixed cap would reject legitimately huge lattices, so section sizes
-  // are bounded by what the image actually holds.
-  const std::uint64_t total = bytes.size();
+namespace {
+
+/// Byte source over an in-memory image.
+struct MemorySource {
+  const std::vector<char>& bytes;
   std::size_t pos = 0;
-  auto get = [&bytes, &pos, &what](auto& v, const char* field) {
-    if (bytes.size() - pos < sizeof(v)) {
+  std::uint64_t remaining() const { return bytes.size() - pos; }
+  void read(void* dst, std::size_t n) {
+    if (n > 0) std::memcpy(dst, bytes.data() + pos, n);
+    pos += n;
+  }
+};
+
+/// Byte source over an open file of known size.
+struct FileSource {
+  std::ifstream& is;
+  const std::string& path;
+  std::uint64_t left;
+  std::uint64_t remaining() const { return left; }
+  void read(void* dst, std::size_t n) {
+    is.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+    if (!is) throw CheckpointError("checkpoint: cannot read " + path);
+    left -= n;
+  }
+};
+
+/// Parse and validate a container from `src`. A corrupt size field must
+/// not trigger a monster allocation, but a fixed cap would reject
+/// legitimately huge lattices, so section sizes are bounded by what the
+/// source still holds; each payload is read straight into its section.
+template <typename Source>
+Checkpoint parse_container(Source& src, const std::string& what) {
+  auto get = [&src, &what](auto& v, const char* field) {
+    if (src.remaining() < sizeof(v)) {
       throw CheckpointError("checkpoint: truncated " + what +
                             " (while reading " + field + ")");
     }
-    std::memcpy(&v, bytes.data() + pos, sizeof(v));
-    pos += sizeof(v);
+    src.read(&v, sizeof(v));
   };
   std::uint64_t magic = 0;
   get(magic, "magic");
-  if (magic != kMagic) {
+  if (magic != Checkpoint::kMagic) {
     throw CheckpointError("checkpoint: " + what +
                           " is not an APR checkpoint (bad magic)");
   }
   std::uint32_t version = 0;
   get(version, "format version");
-  if (version != kFormatVersion) {
+  if (version != Checkpoint::kFormatVersion) {
     throw CheckpointError(
         "checkpoint: " + what + " has format version " +
         std::to_string(version) + "; this build reads version " +
-        std::to_string(kFormatVersion) +
-        (version > kFormatVersion ? " (file from a newer build?)" : ""));
+        std::to_string(Checkpoint::kFormatVersion) +
+        (version > Checkpoint::kFormatVersion ? " (file from a newer build?)"
+                                              : ""));
   }
   std::uint32_t count = 0;
   get(count, "section count");
@@ -135,15 +192,13 @@ Checkpoint Checkpoint::from_bytes(const std::vector<char>& bytes,
     std::uint64_t size = 0;
     get(tag, "section tag");
     get(size, "section size");
-    if (size > total || bytes.size() - pos < size) {
+    if (size > src.remaining()) {
       throw CheckpointError("checkpoint: truncated " + what + " (section " +
                             tag_name(tag) +
                             " claims more bytes than the image holds)");
     }
-    std::vector<char> payload(bytes.begin() + static_cast<std::ptrdiff_t>(pos),
-                              bytes.begin() +
-                                  static_cast<std::ptrdiff_t>(pos + size));
-    pos += size;
+    std::vector<char> payload(static_cast<std::size_t>(size));
+    src.read(payload.data(), payload.size());
     std::uint32_t stored_crc = 0;
     get(stored_crc, "section crc");
     const std::uint32_t actual = crc32(payload.data(), payload.size());
@@ -160,9 +215,17 @@ Checkpoint Checkpoint::from_bytes(const std::vector<char>& bytes,
   return ckpt;
 }
 
+}  // namespace
+
+Checkpoint Checkpoint::from_bytes(const std::vector<char>& bytes,
+                                  const std::string& what) {
+  MemorySource src{bytes};
+  return parse_container(src, what);
+}
+
 std::size_t Checkpoint::byte_size() const {
-  // Mirror the framing arithmetic of to_bytes() so metrics can report
-  // checkpoint sizes without serializing twice.
+  // Mirror the framing arithmetic of emit() so metrics can report
+  // checkpoint sizes without serializing.
   std::size_t n = sizeof(kMagic) + sizeof(kFormatVersion) +
                   sizeof(std::uint32_t);
   for (const auto& [tag, payload] : sections_) {
@@ -174,25 +237,37 @@ std::size_t Checkpoint::byte_size() const {
 
 void Checkpoint::write(const std::string& path) const {
   OBS_SPAN("io", "checkpoint_write");
-  const std::vector<char> bytes = to_bytes();
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) throw CheckpointError("checkpoint: cannot open " + path);
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os.flush();
-  if (!os) throw CheckpointError("checkpoint: write failed for " + path);
+  // Stream into a sibling temp file and rename it over the target, so a
+  // failed or interrupted save (a full disk, a killed process) never
+  // destroys the previous checkpoint at `path`.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    if (!os) throw CheckpointError("checkpoint: cannot open " + tmp);
+    emit([&os](const void* p, std::size_t n) {
+      os.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+    });
+    os.close();
+    if (!os) {
+      std::remove(tmp.c_str());
+      throw CheckpointError("checkpoint: write failed for " + path);
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw CheckpointError("checkpoint: cannot replace " + path);
+  }
 }
 
 Checkpoint Checkpoint::read(const std::string& path) {
   OBS_SPAN("io", "checkpoint_read");
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) throw CheckpointError("checkpoint: cannot open " + path);
-  is.seekg(0, std::ios::end);
-  const auto file_bytes = static_cast<std::size_t>(is.tellg());
+  const auto end = is.tellg();
   is.seekg(0, std::ios::beg);
-  std::vector<char> bytes(file_bytes);
-  is.read(bytes.data(), static_cast<std::streamsize>(file_bytes));
-  if (!is) throw CheckpointError("checkpoint: cannot read " + path);
-  return from_bytes(bytes, path);
+  if (end < 0 || !is) throw CheckpointError("checkpoint: cannot read " + path);
+  FileSource src{is, path, static_cast<std::uint64_t>(end)};
+  return parse_container(src, path);
 }
 
 std::uint64_t Checkpoint::digest() const {
@@ -210,12 +285,38 @@ std::uint64_t Checkpoint::digest() const {
 namespace {
 
 /// Sentinel distinguishing the tiled (revision 2) lattice encoding from
-/// the legacy flat one, whose first field was the strictly positive nx.
+/// the pre-tiling revision-1 one, whose first field was the strictly
+/// positive nx.
 constexpr std::int32_t kTiledSentinel = -2;
 constexpr std::uint32_t kLatticeRevision = 2;
 
+/// Wire bytes of one node of a block payload: type, tau, ubc, kQ f, rho, u.
+constexpr std::size_t kNodeWireBytes =
+    sizeof(lbm::NodeType) + sizeof(double) + sizeof(Vec3) +
+    lbm::kQ * sizeof(double) + sizeof(double) + sizeof(Vec3);
+
 inline bool vec_zero(const Vec3& v) {
   return v.x == 0.0 && v.y == 0.0 && v.z == 0.0;
+}
+
+std::uint32_t num_blocks(int nx, int ny, int nz) {
+  constexpr int S = lbm::Lattice::kTileSide;
+  return static_cast<std::uint32_t>((nx + S - 1) / S) *
+         static_cast<std::uint32_t>((ny + S - 1) / S) *
+         static_cast<std::uint32_t>((nz + S - 1) / S);
+}
+
+/// True when some node of `b` differs from the vacant-tile defaults;
+/// blocks with no such node are left out of the snapshot.
+bool block_nondefault(const lbm::BlockSnapshot& b, double default_tau) {
+  for (std::size_t i = 0; i < b.type.size(); ++i) {
+    if (b.type[i] != lbm::NodeType::Exterior || b.tau[i] != default_tau ||
+        !vec_zero(b.ubc[i]) || b.rho[i] != 1.0 || !vec_zero(b.u[i])) {
+      return true;
+    }
+  }
+  // Only Exterior nodes remain, so every f is a zeroed dead slot.
+  return false;
 }
 
 }  // namespace
@@ -235,29 +336,18 @@ LatticeState LatticeState::capture(const lbm::Lattice& lat) {
   st.ubc_nonzero = lat.ubc_nonzero() ? 1 : 0;
   st.body_force = lat.body_force();
   st.site_updates = lat.site_updates();
-  const std::size_t n = lat.num_nodes();
-  st.type.resize(n);
-  st.tau.resize(n);
-  st.ubc.resize(n);
-  st.f.resize(static_cast<std::size_t>(lbm::kQ) * n);
-  st.rho.resize(n);
-  st.u.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    st.type[i] = static_cast<std::uint8_t>(lat.type(i));
-    st.tau[i] = lat.tau(i);
-    st.ubc[i] = lat.boundary_velocity(i);
-    st.rho[i] = lat.rho(i);
-    st.u[i] = lat.velocity(i);
-  }
   // f at Wall/Exterior nodes is dead storage: streaming never writes those
   // slots, so after the buffer swap they hold stale values from two steps
-  // back that no physics path ever reads. Canonicalize them to zero so the
-  // captured state (and hence digests and bit-exact resume comparisons)
-  // depends only on live populations.
-  for (int q = 0; q < lbm::kQ; ++q) {
-    for (std::size_t i = 0; i < n; ++i) {
-      st.f[static_cast<std::size_t>(q) * n + i] =
-          lbm::is_stream_source(lat.type(i)) ? lat.f(q, i) : 0.0;
+  // back that no physics path ever reads. capture_block canonicalizes
+  // them to zero so the snapshot (and hence digests and bit-exact resume
+  // comparisons) depends only on live populations.
+  st.blocks.reserve(lat.num_tiles());
+  lbm::BlockSnapshot scratch;
+  for (std::size_t t = 0; t < lat.num_tiles(); ++t) {
+    lat.capture_block(t, scratch);
+    if (block_nondefault(scratch, st.default_tau)) {
+      st.blocks.push_back(std::move(scratch));
+      scratch = lbm::BlockSnapshot{};
     }
   }
   return st;
@@ -273,84 +363,68 @@ void LatticeState::validate_geometry(const lbm::Lattice& lat) const {
         std::to_string(lat.ny()) + "x" + std::to_string(lat.nz()) +
         " @ dx=" + std::to_string(lat.dx()) + ")");
   }
-  const std::size_t n = lat.num_nodes();
-  if (type.size() != n || tau.size() != n || ubc.size() != n ||
-      rho.size() != n || u.size() != n ||
-      f.size() != static_cast<std::size_t>(lbm::kQ) * n) {
-    throw CheckpointError("checkpoint: lattice section has inconsistent "
-                          "array sizes");
-  }
   if (collision > static_cast<std::uint8_t>(lbm::CollisionModel::Mrt)) {
     throw CheckpointError("checkpoint: unknown collision model id " +
                           std::to_string(collision));
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (type[i] > static_cast<std::uint8_t>(lbm::NodeType::Coupling)) {
-      throw CheckpointError("checkpoint: unknown node type id " +
-                            std::to_string(type[i]));
+  const std::uint32_t nblocks = num_blocks(nx, ny, nz);
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    const lbm::BlockSnapshot& b = blocks[k];
+    if (b.id >= nblocks || (k > 0 && b.id <= blocks[k - 1].id)) {
+      throw CheckpointError("checkpoint: lattice block ids out of order "
+                            "or out of range");
+    }
+    int vx, vy, vz;
+    lbm::Lattice::block_extent(nx, ny, nz, b.id, vx, vy, vz);
+    const std::size_t m = static_cast<std::size_t>(vx) * vy * vz;
+    if (b.type.size() != m || b.tau.size() != m || b.ubc.size() != m ||
+        b.f.size() != lbm::kQ * m || b.rho.size() != m || b.u.size() != m) {
+      throw CheckpointError("checkpoint: lattice section has inconsistent "
+                            "array sizes");
+    }
+    for (const lbm::NodeType t : b.type) {
+      if (t > lbm::NodeType::Coupling) {
+        throw CheckpointError("checkpoint: unknown node type id " +
+                              std::to_string(static_cast<int>(t)));
+      }
     }
   }
 }
 
 void LatticeState::apply(lbm::Lattice& lat) const {
-  const std::size_t n = lat.num_nodes();
-  // The baseline must change first: per-node writes below decide
-  // materialize/no-op against it, and the release check in set_type
-  // compares tile contents against it.
+  // The baseline first: blocks reset or materialized below take it.
   lat.set_default_tau(default_tau);
-  // Scalar fields before types: when the type pass empties a tile, its
-  // other fields already hold their final (possibly default) values, so
-  // an all-default tile is released and the target ends up exactly as
-  // sparse as the saved lattice.
-  std::array<double, lbm::kQ> fq;
-  for (std::size_t i = 0; i < n; ++i) {
-    lat.set_tau(i, tau[i]);
-    lat.set_boundary_velocity(i, ubc[i]);
-    lat.set_rho(i, rho[i]);
-    lat.set_velocity(i, u[i]);
-    for (int q = 0; q < lbm::kQ; ++q) {
-      fq[q] = f[static_cast<std::size_t>(q) * n + i];
-    }
-    lat.set_f_node(i, fq);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    lat.set_type(i, static_cast<lbm::NodeType>(type[i]));
-  }
+  lat.restore_blocks(blocks);
   lat.set_periodic(periodic[0] != 0, periodic[1] != 0, periodic[2] != 0);
   lat.set_fused_kernel(fused != 0);
   lat.set_collision_model(static_cast<lbm::CollisionModel>(collision),
                           trt_magic);
   lat.set_body_force(body_force);
   lat.set_site_updates(site_updates);
-  // Last: set_boundary_velocity above may have latched the flag on.
   lat.set_ubc_nonzero(ubc_nonzero != 0);
 }
 
-namespace {
-
-/// True when node i of `st` differs from the vacant-tile defaults in any
-/// serialized field; blocks with no such node are omitted from the wire.
-bool node_nondefault(const LatticeState& st, std::size_t n, std::size_t i) {
-  if (st.type[i] != 0) return true;
-  if (st.tau[i] != st.default_tau) return true;
-  if (!vec_zero(st.ubc[i])) return true;
-  if (st.rho[i] != 1.0) return true;
-  if (!vec_zero(st.u[i])) return true;
-  for (int q = 0; q < lbm::kQ; ++q) {
-    if (st.f[static_cast<std::size_t>(q) * n + i] != 0.0) return true;
+void LatticeState::set_tau(std::size_t i, double tau) {
+  constexpr int S = lbm::Lattice::kTileSide;
+  const std::size_t plane = static_cast<std::size_t>(nx) * ny;
+  const int z = static_cast<int>(i / plane);
+  const int y = static_cast<int>((i % plane) / static_cast<std::size_t>(nx));
+  const int x = static_cast<int>(i % static_cast<std::size_t>(nx));
+  const auto id = static_cast<std::uint32_t>(
+      ((z / S) * ((ny + S - 1) / S) + y / S) * ((nx + S - 1) / S) + x / S);
+  const auto it = std::lower_bound(
+      blocks.begin(), blocks.end(), id,
+      [](const lbm::BlockSnapshot& b, std::uint32_t v) { return b.id < v; });
+  if (z >= nz || it == blocks.end() || it->id != id) {
+    throw std::out_of_range("LatticeState::set_tau: node " +
+                            std::to_string(i) + " is not in a kept block");
   }
-  return false;
+  int vx, vy, vz;
+  lbm::Lattice::block_extent(nx, ny, nz, id, vx, vy, vz);
+  it->tau[(static_cast<std::size_t>(z % S) * vy + y % S) * vx + x % S] = tau;
 }
 
-}  // namespace
-
 std::vector<char> LatticeState::serialize() const {
-  constexpr int S = lbm::Lattice::kTileSide;
-  const std::size_t n = static_cast<std::size_t>(nx) * ny * nz;
-  const int tbx = (nx + S - 1) / S;
-  const int tby = (ny + S - 1) / S;
-  const int tbz = (nz + S - 1) / S;
-
   BufWriter w;
   w.pod(kTiledSentinel);
   w.pod(kLatticeRevision);
@@ -368,101 +442,46 @@ std::vector<char> LatticeState::serialize() const {
   w.pod(site_updates);
   w.pod(default_tau);
 
-  const auto node = [&](int x, int y, int z) {
-    return (static_cast<std::size_t>(z) * ny + y) * nx + x;
-  };
-  std::vector<std::uint32_t> blocks;
-  std::uint32_t b = 0;
-  for (int bz = 0; bz < tbz; ++bz) {
-    for (int by = 0; by < tby; ++by) {
-      for (int bx = 0; bx < tbx; ++bx, ++b) {
-        const int x1 = std::min(nx, (bx + 1) * S);
-        const int y1 = std::min(ny, (by + 1) * S);
-        const int z1 = std::min(nz, (bz + 1) * S);
-        bool keep = false;
-        for (int z = bz * S; z < z1 && !keep; ++z) {
-          for (int y = by * S; y < y1 && !keep; ++y) {
-            for (int x = bx * S; x < x1 && !keep; ++x) {
-              keep = node_nondefault(*this, n, node(x, y, z));
-            }
-          }
-        }
-        if (keep) blocks.push_back(b);
-      }
-    }
+  std::size_t payload = sizeof(std::uint32_t);
+  for (const lbm::BlockSnapshot& b : blocks) {
+    payload += sizeof(b.id) + b.type.size() * kNodeWireBytes;
   }
-
+  w.reserve_more(payload);
   w.pod(static_cast<std::uint32_t>(blocks.size()));
-  for (const std::uint32_t id : blocks) {
-    const int bx = static_cast<int>(id) % tbx;
-    const int by = (static_cast<int>(id) / tbx) % tby;
-    const int bz = static_cast<int>(id) / (tbx * tby);
-    const int x0 = bx * S, x1 = std::min(nx, (bx + 1) * S);
-    const int y0 = by * S, y1 = std::min(ny, (by + 1) * S);
-    const int z0 = bz * S, z1 = std::min(nz, (bz + 1) * S);
-    w.pod(id);
-    const auto each = [&](auto&& fn) {
-      for (int z = z0; z < z1; ++z) {
-        for (int y = y0; y < y1; ++y) {
-          for (int x = x0; x < x1; ++x) fn(node(x, y, z));
-        }
-      }
-    };
-    each([&](std::size_t i) { w.pod(type[i]); });
-    each([&](std::size_t i) { w.pod(tau[i]); });
-    each([&](std::size_t i) { w.pod(ubc[i]); });
-    for (int q = 0; q < lbm::kQ; ++q) {
-      each([&](std::size_t i) {
-        w.pod(f[static_cast<std::size_t>(q) * n + i]);
-      });
-    }
-    each([&](std::size_t i) { w.pod(rho[i]); });
-    each([&](std::size_t i) { w.pod(u[i]); });
+  const auto put = [&w](const auto& v) {
+    w.bytes(v.data(), v.size() * sizeof(v[0]));
+  };
+  for (const lbm::BlockSnapshot& b : blocks) {
+    w.pod(b.id);
+    put(b.type);
+    put(b.tau);
+    put(b.ubc);
+    put(b.f);
+    put(b.rho);
+    put(b.u);
   }
-  return w.take();
-}
-
-std::vector<char> LatticeState::serialize_legacy_dense() const {
-  BufWriter w;
-  w.pod(nx);
-  w.pod(ny);
-  w.pod(nz);
-  w.pod(origin);
-  w.pod(dx);
-  w.pod(fused);
-  w.pod(collision);
-  w.pod(trt_magic);
-  w.bytes(periodic, sizeof(periodic));
-  w.pod(ubc_nonzero);
-  w.pod(body_force);
-  w.pod(site_updates);
-  w.vec(type);
-  w.vec(tau);
-  w.vec(ubc);
-  w.vec(f);
-  w.vec(rho);
-  w.vec(u);
   return w.take();
 }
 
 LatticeState LatticeState::deserialize(const std::vector<char>& payload,
                                        std::string what) {
-  BufReader r(payload, std::move(what));
+  BufReader r(payload, what);
   LatticeState st;
-  // Revision dispatch: legacy flat payloads began with nx (> 0); tiled
-  // ones with a negative sentinel followed by an explicit revision.
   const auto first = r.pod<std::int32_t>();
-  const bool tiled = first == kTiledSentinel;
-  if (tiled) {
-    const auto rev = r.pod<std::uint32_t>();
-    if (rev != kLatticeRevision) {
-      throw CheckpointError("checkpoint: unsupported lattice section "
-                            "revision " + std::to_string(rev));
-    }
-    r.pod(st.nx);
-  } else {
-    st.nx = first;
+  if (first != kTiledSentinel) {
+    // Revision-1 sections began with nx > 0; anything else is foreign.
+    throw CheckpointError(
+        "checkpoint: unsupported lattice section " +
+        (first > 0 ? std::string("revision 1 (pre-tiling dense encoding)")
+                   : std::string("encoding")) +
+        " in " + what);
   }
+  const auto rev = r.pod<std::uint32_t>();
+  if (rev != kLatticeRevision) {
+    throw CheckpointError("checkpoint: unsupported lattice section "
+                          "revision " + std::to_string(rev) + " in " + what);
+  }
+  r.pod(st.nx);
   r.pod(st.ny);
   r.pod(st.nz);
   r.pod(st.origin);
@@ -478,83 +497,40 @@ LatticeState LatticeState::deserialize(const std::vector<char>& payload,
       st.nx > (1 << 14) || st.ny > (1 << 14) || st.nz > (1 << 14)) {
     throw CheckpointError("checkpoint: implausible lattice dimensions");
   }
-  const std::uint64_t n = static_cast<std::uint64_t>(st.nx) * st.ny * st.nz;
-
-  if (!tiled) {
-    r.vec(st.type, n);
-    r.vec(st.tau, n);
-    r.vec(st.ubc, n);
-    r.vec(st.f, static_cast<std::uint64_t>(lbm::kQ) * n);
-    r.vec(st.rho, n);
-    r.vec(st.u, n);
-    r.expect_end();
-    // Legacy files predate the explicit baseline; exterior nodes always
-    // held the construction-time default, so recover it from the first
-    // one (falling back to node 0 for domains with no exterior at all --
-    // only tile-release economics depend on this, not restored values).
-    st.default_tau = st.tau.empty() ? 1.0 : st.tau[0];
-    for (std::size_t i = 0; i < st.type.size(); ++i) {
-      if (st.type[i] == 0) {
-        st.default_tau = st.tau[i];
-        break;
-      }
-    }
-    return st;
-  }
-
   r.pod(st.default_tau);
-  st.type.assign(n, 0);
-  st.tau.assign(n, st.default_tau);
-  st.ubc.assign(n, Vec3{});
-  st.f.assign(static_cast<std::uint64_t>(lbm::kQ) * n, 0.0);
-  st.rho.assign(n, 1.0);
-  st.u.assign(n, Vec3{});
 
-  constexpr int S = lbm::Lattice::kTileSide;
-  const int tbx = (st.nx + S - 1) / S;
-  const int tby = (st.ny + S - 1) / S;
-  const int tbz = (st.nz + S - 1) / S;
-  const std::uint32_t nblocks =
-      static_cast<std::uint32_t>(tbx) * tby * tbz;
+  const std::uint32_t nblocks = num_blocks(st.nx, st.ny, st.nz);
   const auto count = r.pod<std::uint32_t>();
-  if (count > nblocks) {
+  if (count > nblocks || count > r.remaining() / (sizeof(std::uint32_t) +
+                                                  kNodeWireBytes)) {
     throw CheckpointError("checkpoint: lattice section has implausible "
                           "block count");
   }
-  const auto node = [&](int x, int y, int z) {
-    return (static_cast<std::size_t>(z) * st.ny + y) * st.nx + x;
-  };
-  std::int64_t prev = -1;
+  st.blocks.resize(count);
   for (std::uint32_t k = 0; k < count; ++k) {
-    const auto id = r.pod<std::uint32_t>();
-    if (id >= nblocks || static_cast<std::int64_t>(id) <= prev) {
+    lbm::BlockSnapshot& b = st.blocks[k];
+    r.pod(b.id);
+    if (b.id >= nblocks || (k > 0 && b.id <= st.blocks[k - 1].id)) {
       throw CheckpointError("checkpoint: lattice block ids out of order "
                             "or out of range");
     }
-    prev = id;
-    const int bx = static_cast<int>(id) % tbx;
-    const int by = (static_cast<int>(id) / tbx) % tby;
-    const int bz = static_cast<int>(id) / (tbx * tby);
-    const int x0 = bx * S, x1 = std::min(st.nx, (bx + 1) * S);
-    const int y0 = by * S, y1 = std::min(st.ny, (by + 1) * S);
-    const int z0 = bz * S, z1 = std::min(st.nz, (bz + 1) * S);
-    const auto each = [&](auto&& fn) {
-      for (int z = z0; z < z1; ++z) {
-        for (int y = y0; y < y1; ++y) {
-          for (int x = x0; x < x1; ++x) fn(node(x, y, z));
-        }
-      }
-    };
-    each([&](std::size_t i) { r.raw(&st.type[i], sizeof(st.type[i])); });
-    each([&](std::size_t i) { r.raw(&st.tau[i], sizeof(st.tau[i])); });
-    each([&](std::size_t i) { r.raw(&st.ubc[i], sizeof(st.ubc[i])); });
-    for (int q = 0; q < lbm::kQ; ++q) {
-      each([&](std::size_t i) {
-        r.raw(&st.f[static_cast<std::size_t>(q) * n + i], sizeof(double));
-      });
+    int vx, vy, vz;
+    lbm::Lattice::block_extent(st.nx, st.ny, st.nz, b.id, vx, vy,
+                                  vz);
+    const std::size_t m = static_cast<std::size_t>(vx) * vy * vz;
+    if (r.remaining() < m * kNodeWireBytes) {
+      throw CheckpointError("checkpoint: truncated " + what + " section");
     }
-    each([&](std::size_t i) { r.raw(&st.rho[i], sizeof(st.rho[i])); });
-    each([&](std::size_t i) { r.raw(&st.u[i], sizeof(st.u[i])); });
+    const auto get = [&r](auto& v, std::size_t n) {
+      v.resize(n);
+      r.raw(v.data(), n * sizeof(v[0]));
+    };
+    get(b.type, m);
+    get(b.tau, m);
+    get(b.ubc, m);
+    get(b.f, lbm::kQ * m);
+    get(b.rho, m);
+    get(b.u, m);
   }
   r.expect_end();
   return st;

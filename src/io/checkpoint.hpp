@@ -94,6 +94,9 @@ class BufWriter {
     const auto* c = static_cast<const char*>(p);
     buf_.insert(buf_.end(), c, c + n);
   }
+  /// Room for `n` more bytes, so a writer that knows its size appends
+  /// without reallocating.
+  void reserve_more(std::size_t n) { buf_.reserve(buf_.size() + n); }
   std::vector<char> take() { return std::move(buf_); }
 
  private:
@@ -142,6 +145,9 @@ class BufReader {
     std::memcpy(dst, p_, n);
     p_ += n;
   }
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(end_ - p_);
+  }
   /// All payload bytes must have been consumed.
   void expect_end() const {
     if (p_ != end_) {
@@ -188,13 +194,16 @@ class Checkpoint {
   /// exactly the expected sections before touching any payload.
   std::vector<std::uint32_t> tags() const;
 
+  /// Stream the container to `path + ".tmp"` and rename it over `path`:
+  /// a failed save leaves any previous file at `path` intact.
   void write(const std::string& path) const;
+  /// Read and validate a file section by section, each payload straight
+  /// into its section buffer.
   static Checkpoint read(const std::string& path);
 
-  /// The container serialized to its on-disk byte layout (write() is
-  /// to_bytes() plus one stream write). Lets callers round-trip a
-  /// checkpoint entirely in memory -- e.g. the health watchdog's rolling
-  /// rollback point.
+  /// The container serialized to its on-disk byte layout (the bytes
+  /// write() streams). Lets callers round-trip a checkpoint entirely in
+  /// memory -- e.g. the health watchdog's rolling rollback point.
   std::vector<char> to_bytes() const;
 
   /// Parse and fully validate a byte image (identical framing/CRC checks
@@ -211,6 +220,10 @@ class Checkpoint {
   std::size_t byte_size() const;
 
  private:
+  /// Emit the on-disk byte layout through `put(const void*, size_t)`.
+  template <typename Put>
+  void emit(Put&& put) const;
+
   std::vector<std::pair<std::uint32_t, std::vector<char>>> sections_;
 };
 
@@ -221,6 +234,12 @@ class Checkpoint {
 /// genuine state), the kernel/collision configuration, the body force and
 /// the site-update counter, so `capture -> apply` reproduces the lattice
 /// bit-exactly.
+///
+/// The per-node state is held per 16^3 block, only for the blocks with
+/// any node that differs from the vacant defaults (type Exterior, tau =
+/// default_tau, ubc = 0, f = 0, rho = 1, u = 0); every other node holds
+/// exactly those. Nothing is sized by the bounding box, so a snapshot
+/// costs what the lattice's resident state costs.
 struct LatticeState {
   int nx = 0, ny = 0, nz = 0;
   Vec3 origin{};
@@ -232,36 +251,37 @@ struct LatticeState {
   std::uint8_t ubc_nonzero = 0;
   Vec3 body_force{};
   std::uint64_t site_updates = 0;
-  /// Baseline tau of nodes whose tile is not resident; doubles as the
-  /// fill value of the per-node arrays for blocks the wire format omits.
+  /// Baseline tau of nodes whose tile is not resident; also the tau of
+  /// every node outside `blocks`.
   double default_tau = 1.0;
-  std::vector<std::uint8_t> type;  ///< n
-  std::vector<double> tau;         ///< n
-  std::vector<Vec3> ubc;           ///< n
-  std::vector<double> f;           ///< kQ * n, q-major
-  std::vector<double> rho;         ///< n
-  std::vector<Vec3> u;             ///< n
+  /// The non-default blocks, in ascending block id.
+  std::vector<lbm::BlockSnapshot> blocks;
 
+  /// Walks the resident tiles only: vacant blocks hold the defaults by
+  /// construction. Block selection is content-based, so a lattice in
+  /// dense reference mode and its tiled twin capture identically.
   static LatticeState capture(const lbm::Lattice& lat);
   /// Throws CheckpointError unless `lat` has the same node counts and
-  /// spacing (the state was saved for this geometry).
+  /// spacing (the state was saved for this geometry) and the blocks and
+  /// ids are well formed.
   void validate_geometry(const lbm::Lattice& lat) const;
   /// Overwrite every per-node field and configuration flag of `lat`
   /// (which must pass validate_geometry). Does not change the origin.
-  /// Applied onto a lattice with resident tiles, blocks whose restored
-  /// state is entirely default are released again, so the target ends up
-  /// exactly as sparse as the saved lattice was.
+  /// Resident tiles of `lat` outside `blocks` are reset to the defaults
+  /// and released when `lat.auto_release()`, so the target ends up exactly
+  /// as sparse as the saved lattice was.
   void apply(lbm::Lattice& lat) const;
 
+  /// Overwrite the tau of node i (flat lattice index) in the snapshot.
+  /// The node's block must be kept, as the block of any non-Exterior node
+  /// is; throws std::out_of_range otherwise.
+  void set_tau(std::size_t i, double tau);
+
   /// Tiled (revision 2) wire format: header + per-block clipped payloads
-  /// for exactly the 16^3 blocks holding any non-default content. Because
-  /// block selection is content-based, a lattice in dense reference mode
-  /// and its tiled twin serialize byte-identically.
+  /// (type, tau, ubc, f for q = 0..18, rho, u) for exactly `blocks`.
   std::vector<char> serialize() const;
-  /// The revision-1 flat dense encoding (whole-box arrays). Kept as a
-  /// writer so tests can prove old files keep loading; deserialize()
-  /// accepts both revisions.
-  std::vector<char> serialize_legacy_dense() const;
+  /// Parses revision 2; the pre-tiling revision-1 encoding is rejected as
+  /// an unsupported revision.
   static LatticeState deserialize(const std::vector<char>& payload,
                                   std::string what);
 };

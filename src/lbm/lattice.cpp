@@ -248,6 +248,121 @@ void Lattice::shrink_to_fit() {
   tiles_dirty_ = true;
 }
 
+// --- checkpoint block I/O --------------------------------------------------
+
+void Lattice::block_extent(int nx, int ny, int nz, std::size_t b, int& vx,
+                           int& vy, int& vz) {
+  const std::size_t tbx = static_cast<std::size_t>(nx + kTileSide - 1) >>
+                          kTileShift;
+  const std::size_t tby = static_cast<std::size_t>(ny + kTileSide - 1) >>
+                          kTileShift;
+  vx = std::min(kTileSide, nx - static_cast<int>(b % tbx) * kTileSide);
+  vy = std::min(kTileSide, ny - static_cast<int>(b / tbx % tby) * kTileSide);
+  vz = std::min(kTileSide, nz - static_cast<int>(b / (tbx * tby)) * kTileSide);
+}
+
+void Lattice::capture_block(std::size_t t, BlockSnapshot& out) const {
+  const std::size_t b = resident_block(t);
+  int vx, vy, vz;
+  block_extent(nx_, ny_, nz_, b, vx, vy, vz);
+  const std::size_t m = static_cast<std::size_t>(vx) * vy * vz;
+  out.id = static_cast<std::uint32_t>(b);
+  out.type.resize(m);
+  out.tau.resize(m);
+  out.ubc.resize(m);
+  out.f.resize(kQ * m);
+  out.rho.resize(m);
+  out.u.resize(m);
+  const std::size_t o = static_cast<std::size_t>(tile_slot(t)) * kTileNodes;
+  const std::size_t fo = o * kQ;
+  std::size_t k = 0;
+  for (int lz = 0; lz < vz; ++lz) {
+    for (int ly = 0; ly < vy; ++ly, k += static_cast<std::size_t>(vx)) {
+      const std::size_t c = cell_of(0, ly, lz);
+      const std::size_t a = o + c;
+      std::copy_n(type_.data() + a, vx, out.type.data() + k);
+      std::copy_n(tau_.data() + a, vx, out.tau.data() + k);
+      std::copy_n(ubc_.data() + a, vx, out.ubc.data() + k);
+      std::copy_n(rho_.data() + a, vx, out.rho.data() + k);
+      std::copy_n(u_.data() + a, vx, out.u.data() + k);
+      for (int q = 0; q < kQ; ++q) {
+        std::copy_n(f_.data() + fo + q * kTileNodes + c, vx,
+                    out.f.data() + q * m + k);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    if (is_stream_source(out.type[i])) continue;
+    for (int q = 0; q < kQ; ++q) out.f[q * m + i] = 0.0;
+  }
+}
+
+void Lattice::restore_blocks(const std::vector<BlockSnapshot>& blocks) {
+  for (std::size_t k = 0; k < blocks.size(); ++k) {
+    const BlockSnapshot& blk = blocks[k];
+    if (blk.id >= nblocks_ || (k > 0 && blk.id <= blocks[k - 1].id)) {
+      throw std::invalid_argument(
+          "Lattice::restore_blocks: block ids out of order or range");
+    }
+    int vx, vy, vz;
+    block_extent(nx_, ny_, nz_, blk.id, vx, vy, vz);
+    const std::size_t m = static_cast<std::size_t>(vx) * vy * vz;
+    if (blk.type.size() != m || blk.tau.size() != m || blk.ubc.size() != m ||
+        blk.f.size() != kQ * m || blk.rho.size() != m || blk.u.size() != m) {
+      throw std::invalid_argument(
+          "Lattice::restore_blocks: block arrays do not match its extent");
+    }
+  }
+
+  // Resident blocks the snapshot does not list hold nothing but defaults.
+  std::vector<std::int32_t> stale;
+  auto next = blocks.begin();
+  for (const std::int32_t b : resident_) {
+    const auto id = static_cast<std::uint32_t>(b);
+    while (next != blocks.end() && next->id < id) ++next;
+    if (next == blocks.end() || next->id != id) stale.push_back(b);
+  }
+  for (const std::int32_t b : stale) {
+    if (auto_release_) {
+      release(static_cast<std::size_t>(b));
+    } else {
+      const std::int32_t s = dir_[static_cast<std::size_t>(b)];
+      reset_slot(s);
+      nonext_[s] = 0;
+    }
+  }
+
+  for (const BlockSnapshot& blk : blocks) {
+    std::int32_t s = dir_[blk.id];
+    if (s == 0) s = materialize(blk.id);
+    int vx, vy, vz;
+    block_extent(nx_, ny_, nz_, blk.id, vx, vy, vz);
+    const std::size_t m = blk.type.size();
+    const std::size_t o = static_cast<std::size_t>(s) * kTileNodes;
+    const std::size_t fo = o * kQ;
+    std::size_t k = 0;
+    for (int lz = 0; lz < vz; ++lz) {
+      for (int ly = 0; ly < vy; ++ly, k += static_cast<std::size_t>(vx)) {
+        const std::size_t c = cell_of(0, ly, lz);
+        const std::size_t a = o + c;
+        std::copy_n(blk.type.data() + k, vx, type_.data() + a);
+        std::copy_n(blk.tau.data() + k, vx, tau_.data() + a);
+        std::copy_n(blk.ubc.data() + k, vx, ubc_.data() + a);
+        std::copy_n(blk.rho.data() + k, vx, rho_.data() + a);
+        std::copy_n(blk.u.data() + k, vx, u_.data() + a);
+        for (int q = 0; q < kQ; ++q) {
+          std::copy_n(blk.f.data() + q * m + k, vx,
+                      f_.data() + fo + q * kTileNodes + c);
+        }
+      }
+    }
+    nonext_[s] = static_cast<std::int32_t>(
+        m - static_cast<std::size_t>(std::count(
+                blk.type.begin(), blk.type.end(), NodeType::Exterior)));
+  }
+  fast_dirty_ = true;
+}
+
 std::size_t Lattice::tiled_bytes() const {
   const std::size_t slots = slot_block_.size();
   return slots * kTileNodes * kNodeBytes +

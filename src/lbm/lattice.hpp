@@ -72,6 +72,23 @@ constexpr bool is_stream_source(NodeType t) {
          t == NodeType::Coupling;
 }
 
+/// The checkpointed per-node state of one 16^3 block, clipped to the
+/// lattice box: `type.size()` in-box nodes in x-fastest order, one
+/// contiguous array per field. `f` is q-major (value of direction q at
+/// node k is f[q * type.size() + k]) and zero at nodes that are not stream
+/// sources, whose slots are dead storage. Checkpoints capture, serialize
+/// and restore the lattice as a list of these (Lattice::capture_block /
+/// restore_blocks).
+struct BlockSnapshot {
+  std::uint32_t id = 0;  ///< dense block id (x-fastest over the block grid)
+  std::vector<NodeType> type;
+  std::vector<double> tau;
+  std::vector<Vec3> ubc;
+  std::vector<double> f;
+  std::vector<double> rho;
+  std::vector<Vec3> u;
+};
+
 class Lattice {
  public:
   // --- tile geometry -------------------------------------------------------
@@ -373,6 +390,22 @@ class Lattice {
   bool auto_release() const { return auto_release_; }
   /// Materialize every tile (dense reference mode).
   void materialize_all();
+
+  // --- checkpoint block I/O ------------------------------------------------
+  /// In-box node counts along each axis of block b of an nx x ny x nz box
+  /// (kTileSide, or less for the clipped blocks at the upper edges).
+  static void block_extent(int nx, int ny, int nz, std::size_t b, int& vx,
+                           int& vy, int& vz);
+  /// Copy the in-box state of the t-th resident tile into `out` (arrays
+  /// resized to fit), zeroing the dead f slots of non-stream-source nodes.
+  void capture_block(std::size_t t, BlockSnapshot& out) const;
+  /// Make `blocks` (ascending ids, arrays sized by block_extent) the whole
+  /// per-node state of the lattice: each listed block is overwritten,
+  /// materialized first if vacant; every other resident block is reset to
+  /// the vacant defaults and, iff auto_release(), released. Forces are
+  /// left alone (set_body_force() resets them). Throws
+  /// std::invalid_argument on a malformed list, before any change.
+  void restore_blocks(const std::vector<BlockSnapshot>& blocks);
   /// Compact the slot pools to the resident tiles, returning freed slots
   /// to the allocator (call after voxelization has released tiles).
   void shrink_to_fit();

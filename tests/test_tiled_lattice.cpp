@@ -10,8 +10,10 @@
 
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/geometry/voxelizer.hpp"
@@ -288,31 +290,53 @@ TEST(TiledLattice, SerializationIsIdenticalForTiledAndDenseModes) {
   EXPECT_EQ(std::memcmp(bytes_t.data(), bytes_d.data(), bytes_t.size()), 0);
 }
 
-TEST(TiledLattice, LegacyDenseCheckpointLoadsBitExact) {
+TEST(TiledLattice, RevisionOneCheckpointIsRejected) {
+  // The pre-tiling revision-1 lattice encoding (flat arrays over the whole
+  // bounding box, led by a positive nx) is no longer read: loading it fails
+  // as a typed error naming the revision and leaves the target untouched.
   Lattice lat(3 * kT, 3 * kT, 3 * kT, Vec3{}, 1.0, 0.7);
   make_duct(lat, 6);
   lat.shrink_to_fit();
-  lat.set_body_force(Vec3{2e-5, 0.0, 0.0});
-  for (int s = 0; s < 5; ++s) lat.step();
-  const io::LatticeState st = io::LatticeState::capture(lat);
+  const auto before = io::LatticeState::capture(lat).serialize();
+  const std::size_t tiles = lat.num_tiles();
 
-  // Round-trip through the revision-1 flat dense encoding, as written by
-  // every pre-tiling checkpoint file.
-  const auto legacy = st.serialize_legacy_dense();
-  const io::LatticeState back =
-      io::LatticeState::deserialize(legacy, "legacy");
-  Lattice restored(lat.nx(), lat.ny(), lat.nz(), lat.origin(), lat.dx(),
-                   1.0);
-  back.apply(restored);
-  expect_nodes_bitwise_equal(lat, restored);
-  // The restored lattice is as sparse as the original, not densified by
-  // the dense wire format.
-  EXPECT_EQ(restored.num_tiles(), lat.num_tiles());
-  // And re-captures to the exact same tiled-format bytes.
-  const auto again = io::LatticeState::capture(restored).serialize();
-  const auto direct = st.serialize();
-  ASSERT_EQ(again.size(), direct.size());
-  EXPECT_EQ(std::memcmp(again.data(), direct.data(), again.size()), 0);
+  const std::size_t n = lat.num_nodes();
+  io::BufWriter w;
+  w.pod(lat.nx());
+  w.pod(lat.ny());
+  w.pod(lat.nz());
+  w.pod(lat.origin());
+  w.pod(lat.dx());
+  w.pod(std::uint8_t{1});  // fused
+  w.pod(std::uint8_t{0});  // BGK
+  w.pod(3.0 / 16.0);
+  const std::uint8_t periodic[3] = {0, 0, 0};
+  w.bytes(periodic, sizeof(periodic));
+  w.pod(std::uint8_t{0});  // ubc_nonzero
+  w.pod(Vec3{});
+  w.pod(std::uint64_t{0});
+  w.vec(std::vector<std::uint8_t>(n, 1));
+  w.vec(std::vector<double>(n, 0.7));
+  w.vec(std::vector<Vec3>(n));
+  w.vec(std::vector<double>(kQ * n, 1.0 / kQ));
+  w.vec(std::vector<double>(n, 1.0));
+  w.vec(std::vector<Vec3>(n));
+  io::Checkpoint ckpt;
+  ckpt.add(io::fourcc('L', 'A', 'T', 'T'), w.take());
+  const std::string path =
+      std::string(::testing::TempDir()) + "/revision1_lattice.chk";
+  ckpt.write(path);
+
+  try {
+    io::load_lattice(path, lat);
+    FAIL() << "a revision-1 lattice section was accepted";
+  } catch (const io::CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("revision 1"), std::string::npos)
+        << "message was: " << e.what();
+  }
+  EXPECT_EQ(io::LatticeState::capture(lat).serialize(), before);
+  EXPECT_EQ(lat.num_tiles(), tiles);
+  std::remove(path.c_str());
 }
 
 }  // namespace
